@@ -267,11 +267,9 @@ class TwoDimTree:
         the choice a pure function of the stored periods: a calendar
         rebuilt from a snapshot selects byte-identical servers, which is
         the reservation service's restart guarantee.  The merge itself is
-        :func:`~repro.core.merge.merge_earliest` — the same function the
-        sharded coordinator runs over per-shard candidate prefixes, which
-        is what makes sharded selection bit-identical to this one.  The
-        bound is unchanged — ``O(log N)`` bisects of ``O(log N)`` marks
-        plus ``O(need · log log N)`` heap pops.
+        :func:`~repro.core.merge.merge_earliest`.  The bound is
+        unchanged — ``O(log N)`` bisects of ``O(log N)`` marks plus
+        ``O(need · log log N)`` heap pops.
 
         Returns the chosen periods, or ``None`` when fewer than ``need``
         are feasible — unless ``partial`` is set, in which case whatever

@@ -17,7 +17,8 @@ from repro.analysis.audit import (
     corrupt_uid_map,
 )
 from repro.core.calendar import AvailabilityCalendar
-from repro.core.types import INF, IdlePeriod
+from repro.core.types import INF, IdlePeriod, Request
+from repro.facade import CoAllocationScheduler
 from repro.schedulers import OnlineScheduler
 from repro.sim.replay import _audit_stride_from_env, replay
 from repro.workloads.stress import stress_workload
@@ -139,6 +140,18 @@ class TestMutationAuditor:
         with pytest.raises(AuditError) as excinfo:
             auditor.audit_now()
         assert check_ids(excinfo.value.findings) == {"RA114"}
+
+    def test_elastic_pool_mutations_audit_clean(self):
+        sched = CoAllocationScheduler(n_servers=2, tau=900.0, q_slots=96)
+        auditor = MutationAuditor(sched.calendar)
+        assert sched.add_servers(2) == [2, 3]
+        alloc = sched.schedule(Request(qr=0.0, sr=0.0, lr=100.0, nr=4, rid=1))
+        assert alloc is not None  # the grant spans the joined servers
+        sched.drain(3)
+        sched.advance(200.0)
+        assert sched.remove(3)["changed"]
+        assert auditor.mutations == auditor.audits_run == 4
+        auditor.audit_now()
 
     def test_detach_restores_the_calendar_methods(self):
         cal = AvailabilityCalendar(n_servers=4, tau=900.0, q_slots=96)

@@ -28,6 +28,10 @@ def test_reserve_probe_cancel_roundtrip():
             assert st <= 0.0 and (et is None or et >= 10.0)
             assert server not in accepted["servers"]
 
+        # a negative limit is refused, not read as a slice from the end
+        negative = await rpc(port, {"op": "probe", "ta": 0.0, "tb": 10.0, "limit": -3})
+        assert not negative["ok"] and negative["error"]["code"] == "MALFORMED"
+
         cancelled = await rpc(port, {"op": "cancel", "rid": 1})
         assert cancelled["ok"]
         again = await rpc(port, {"op": "cancel", "rid": 1})

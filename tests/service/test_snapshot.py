@@ -6,8 +6,9 @@ server is indistinguishable from the original, down to the slot-tree
 tie-break order (persisted period uids make that possible).
 """
 
-import asyncio
+import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,14 +29,12 @@ CONFIG = ServiceConfig(n_servers=4, tau=10.0, q_slots=8)
 
 
 def _apply(service: ReservationService, message: dict) -> dict:
-    """Drive the actor's apply coroutine to completion (single-mode
-    handlers never actually suspend, so this is identical to what TCP
-    requests would drive)."""
-    return asyncio.run(service._actor_apply(message))
+    """Apply one op exactly as the actor applies a TCP request."""
+    return service._actor_apply(message)
 
 
 def _state(service: ReservationService) -> dict:
-    return asyncio.run(service._actor_state())
+    return service._actor_state()
 
 
 def apply_history(service: ReservationService, history: list[tuple]) -> None:
@@ -293,3 +292,75 @@ class TestSnapshotMigration:
         # the aid table rode along: the duplicate answers the recorded verdict
         replay = _apply(restored, {"op": "add_servers", "count": 2, "aid": "grow-1"})
         assert replay["replayed"] and replay["servers"] == [4, 5]
+
+
+class TestPartitionedEraSnapshot:
+    """Snapshots written by the removed ``repro serve --shards K`` mode.
+
+    The fixture was written by ``--shards 2`` after ``HISTORY``.  Its
+    state is the single-calendar format plus one extra checksummed
+    section, ``sharded``, holding per-partition checksums.  The single
+    actor must restore it, decide exactly as from the same snapshot
+    without that section, and never write the section back.
+    """
+
+    FIXTURE = Path(__file__).parent / "fixtures" / "partitioned_k2.snap"
+    CONFIG = ServiceConfig(n_servers=4, tau=10.0, q_slots=8)
+    HISTORY = [
+        {"op": "reserve", "rid": 1, "qr": 0, "sr": 0, "lr": 10, "nr": 2},
+        {"op": "reserve", "rid": 2, "qr": 0, "sr": 5, "lr": 20, "nr": 3},
+        {"op": "reserve", "rid": 3, "qr": 1, "sr": 1, "lr": 15, "nr": 1},
+        {"op": "cancel", "rid": 1},
+        {"op": "add_servers", "count": 2, "aid": "grow-1", "qr": 2},
+        {"op": "reserve", "rid": 4, "qr": 3, "sr": 3, "lr": 12, "nr": 4},
+        {"op": "drain", "server": 0, "aid": "drain-0", "qr": 4},
+        {"op": "reserve", "rid": 5, "qr": 4, "sr": 30, "lr": 10, "nr": 5},
+    ]
+    FOLLOW_ON = [
+        {"op": "reserve", "rid": 2, "qr": 5, "sr": 5, "lr": 20, "nr": 3},  # replay
+        {"op": "reserve", "rid": 6, "qr": 5, "sr": 5, "lr": 10, "nr": 2},
+        {"op": "cancel", "rid": 4},
+        {"op": "reserve", "rid": 7, "qr": 6, "sr": 6, "lr": 25, "nr": 4},
+        {"op": "add_servers", "count": 2, "aid": "grow-1", "qr": 6},  # replay
+        {"op": "remove", "server": 0, "aid": "remove-0", "qr": 20},
+        {"op": "probe", "ta": 20.0, "tb": 60.0, "limit": 100},
+        {"op": "reserve", "rid": 8, "qr": 20, "sr": 40, "lr": 30, "nr": 6},
+        {"op": "pool_status"},
+    ]
+
+    @staticmethod
+    def _ranked(state: dict) -> dict:
+        """``state`` with period uids replaced by their rank.
+
+        Every process numbers periods from its own counter, so two
+        services agree on uid *order* (the tie-break), not on values.
+        """
+        state = copy.deepcopy(state)
+        periods = state["scheduler"]["calendar"]["periods"]
+        rank = {uid: i for i, uid in enumerate(sorted(p[2] for ps in periods for p in ps))}
+        for server_periods in periods:
+            for period in server_periods:
+                period[2] = rank[period[2]]
+        return state
+
+    def _legacy_and_plain(self) -> tuple[dict, dict]:
+        legacy = read_snapshot(self.FIXTURE)  # the extra section is checksummed too
+        plain = {key: value for key, value in legacy.items() if key != "sharded"}
+        assert set(legacy) - set(plain) == {"sharded"}
+        return legacy, copy.deepcopy(plain)
+
+    def test_restores_and_redecides_like_a_plain_snapshot(self):
+        legacy_state, plain_state = self._legacy_and_plain()
+        legacy = ReservationService(self.CONFIG, state=legacy_state)
+        plain = ReservationService(self.CONFIG, state=plain_state)
+        for message in self.FOLLOW_ON:
+            assert _apply(legacy, dict(message)) == _apply(plain, dict(message))
+        assert "sharded" not in _state(legacy)
+        assert self._ranked(_state(legacy)) == self._ranked(_state(plain))
+
+    def test_plain_part_equals_the_single_actor_state(self):
+        _, plain_state = self._legacy_and_plain()
+        single = ReservationService(self.CONFIG)
+        for message in self.HISTORY:
+            assert _apply(single, dict(message))["ok"]
+        assert self._ranked(_state(single)) == self._ranked(plain_state)
